@@ -252,7 +252,10 @@
 //     functional options, and re-exports of the engine, MAD-MPI,
 //     profiles, tracing and the benchmark harness.
 //   - internal/sim: the discrete-event kernel (virtual clock, cooperative
-//     processes, condition variables).
+//     processes, condition variables). Each process runs on an iter.Pull
+//     coroutine that the scheduler switches to directly; a finished
+//     process's coroutine is reused by the next one to start, and a Run
+//     that drains stops the spare ones.
 //   - internal/simnet: NIC/wire/host cost models and the five network
 //     profiles (MX/Myri-10G, QsNetII, GM/Myrinet-2000, SISCI/SCI, TCP).
 //   - internal/drivers: the transfer layer — one minimal driver per

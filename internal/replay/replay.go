@@ -126,6 +126,21 @@ func (r *Result) TimelineLines() []string {
 }
 
 // Run replays a recording under the given configuration.
+//
+// Each recorded op is issued by a process of its own, spawned at the
+// op's recorded entry instant by its node's dispatcher process; the op
+// process pays the op's submit/copy overhead and ends once the request
+// is submitted. Spawning just-in-time (rather than pre-sleeping every
+// op process from time zero) keeps same-instant event ordering faithful
+// to the live run: an op's entry never jumps ahead of engine
+// continuations created earlier, and overlapping entries — a node whose
+// live application submitted from several concurrent processes —
+// charge their overheads concurrently, as they did live.
+//
+// A request still in flight when its op process ends is handed to the
+// node's reaper process, which stamps each completion with the instant
+// it happened (see reaper). A request that never completes leaves the
+// reaper blocked, and Run returns the *sim.DeadlockError.
 func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 	hdr := rec.Header()
 	if hdr.Nodes < 1 {
@@ -189,16 +204,6 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		perNode[op.Node] = append(perNode[op.Node], op)
 	}
 
-	// One dispatcher per node walks that node's ops in recorded order
-	// and, at each op's recorded entry instant, spawns a dedicated
-	// process that issues the operation and pays its own submit/copy
-	// overhead. Spawning just-in-time (rather than pre-sleeping every
-	// op process from time zero) keeps same-instant event ordering
-	// faithful to the live run: an op's entry never jumps ahead of
-	// engine continuations created earlier, and overlapping entries —
-	// a node whose live application submitted from several concurrent
-	// processes — charge their overheads concurrently, as they did
-	// live.
 	res := &Result{}
 	nRails := len(rails)
 	for node := range perNode {
@@ -207,41 +212,22 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 			continue
 		}
 		eng := engines[node]
-		node := node
+		rp := &reaper{name: fmt.Sprintf("replay-node%d-reaper", node), res: res}
+		// Op processes never wait on a condition, so no deadlock report
+		// can name one: they share a name instead of formatting one each.
+		opName := fmt.Sprintf("replay-node%d-op", node)
 		w.Spawn(fmt.Sprintf("replay-node%d", node), func(p *sim.Proc) {
-			for i, op := range ops {
+			for _, op := range ops {
 				if d := op.At - p.Now(); d > 0 {
 					p.Sleep(d)
 				}
-				op := op
-				w.Spawn(fmt.Sprintf("replay-node%d-op%d", node, i), func(q *sim.Proc) {
-					g := eng.Gate(simnet.NodeID(op.Peer))
-					var req core.Request
-					switch op.Kind {
-					case trace.OpSend:
-						var sopts []core.SendOption
-						if op.Priority {
-							sopts = append(sopts, core.Priority())
-						}
-						if op.Unordered {
-							sopts = append(sopts, core.Unordered())
-						}
-						if op.Synchronous {
-							sopts = append(sopts, core.Synchronous())
-						}
-						if op.Rail >= 0 && op.Rail < nRails {
-							sopts = append(sopts, core.OnRail(op.Rail))
-						}
-						req = g.Isendv(q, core.Tag(op.Tag), makeSegs(op.Segs), sopts...)
-					case trace.OpRecv:
-						req = g.IrecvvMasked(q, core.Tag(op.Tag), core.Tag(op.Mask), makeSegs(op.Segs))
+				w.Spawn(opName, func(q *sim.Proc) {
+					req := issue(q, eng, op, nRails)
+					if req.Done() {
+						res.finish(req, q.Now())
+						return
 					}
-					if err := req.Wait(q); err != nil {
-						res.RequestErrors++
-					}
-					if now := q.Now(); now > res.Completion {
-						res.Completion = now
-					}
+					rp.add(w, req)
 				})
 			}
 		})
@@ -265,6 +251,78 @@ func Run(rec *trace.Recording, cfg Config) (*Result, error) {
 		res.Strategy = "mixed"
 	}
 	return res, nil
+}
+
+// issue re-issues one recorded operation from process q, which pays its
+// submit overhead.
+func issue(q *sim.Proc, eng *core.Engine, op trace.Op, nRails int) core.Request {
+	g := eng.Gate(simnet.NodeID(op.Peer))
+	if op.Kind == trace.OpRecv {
+		return g.IrecvvMasked(q, core.Tag(op.Tag), core.Tag(op.Mask), makeSegs(op.Segs))
+	}
+	var sopts []core.SendOption
+	if op.Priority {
+		sopts = append(sopts, core.Priority())
+	}
+	if op.Unordered {
+		sopts = append(sopts, core.Unordered())
+	}
+	if op.Synchronous {
+		sopts = append(sopts, core.Synchronous())
+	}
+	if op.Rail >= 0 && op.Rail < nRails {
+		sopts = append(sopts, core.OnRail(op.Rail))
+	}
+	return g.Isendv(q, core.Tag(op.Tag), makeSegs(op.Segs), sopts...)
+}
+
+// finish accounts one completed request at virtual time now.
+func (r *Result) finish(req core.Request, now sim.Time) {
+	if req.Err() != nil {
+		r.RequestErrors++
+	}
+	if now > r.Completion {
+		r.Completion = now
+	}
+}
+
+// reaper collects the completions of one node's in-flight requests. Its
+// process is spawned when the pending list becomes non-empty and ends
+// when it empties. It blocks in core.WaitAny on the engine's completion
+// condition and, each time it wakes, finishes every request done by
+// then: a completion wakes the reaper at the instant it happens, so
+// each request is stamped with its own completion time. A request that
+// never completes keeps the reaper blocked, and Run reports the
+// deadlock.
+type reaper struct {
+	name    string
+	res     *Result
+	pending []core.Request
+}
+
+func (r *reaper) add(w *sim.World, req core.Request) {
+	r.pending = append(r.pending, req)
+	if len(r.pending) == 1 {
+		w.Spawn(r.name, r.run)
+	}
+}
+
+func (r *reaper) run(p *sim.Proc) {
+	for len(r.pending) > 0 {
+		// The error is a completed request's, which the sweep reads
+		// through finish; pending is never empty here.
+		_, _ = core.WaitAny(p, r.pending...)
+		kept := r.pending[:0]
+		for _, req := range r.pending {
+			if req.Done() {
+				r.res.finish(req, p.Now())
+			} else {
+				kept = append(kept, req)
+			}
+		}
+		clear(r.pending[len(kept):])
+		r.pending = kept
+	}
 }
 
 // AB replays one recording under several strategies, in order.

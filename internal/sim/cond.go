@@ -7,10 +7,10 @@ package sim
 //		cond.Wait(p)
 //	}
 //
-// Signal and Broadcast may be called from scheduler context (event
-// callbacks — e.g. a NIC completion that finishes a request) or from
-// another process; wakeups are delivered as immediate events, preserving
-// the one-runnable-at-a-time invariant.
+// Broadcast may be called from scheduler context (event callbacks — e.g.
+// a NIC completion that finishes a request) or from another process;
+// wakeups are delivered as immediate events, preserving the
+// one-runnable-at-a-time invariant.
 type Cond struct {
 	w       *World
 	waiters []*Proc
@@ -19,24 +19,12 @@ type Cond struct {
 // NewCond returns a condition variable bound to w.
 func NewCond(w *World) *Cond { return &Cond{w: w} }
 
-// Wait blocks p until a Signal or Broadcast wakes it.
+// Wait blocks p until a Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
 	p.waitIdx = len(c.w.waiting)
 	c.w.waiting = append(c.w.waiting, p)
 	p.block()
-}
-
-// Signal wakes the longest-waiting process, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	p := c.waiters[0]
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters[n] = nil
-	c.waiters = c.waiters[:n]
-	c.wake(p)
 }
 
 // Broadcast wakes every waiting process. The waiter list's backing array
@@ -55,7 +43,7 @@ func (c *Cond) Broadcast() {
 
 func (c *Cond) wake(p *Proc) {
 	c.w.unwait(p)
-	c.w.At(c.w.now, p.runFn)
+	c.w.resumeAt(c.w.now, p)
 }
 
 // Waiters reports how many processes are currently blocked on c.

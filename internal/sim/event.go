@@ -1,12 +1,13 @@
 package sim
 
-// event is a callback scheduled at a virtual instant. Events with equal
-// times fire in scheduling order (seq is the tiebreak), which keeps the
-// simulation deterministic.
+// event is a callback, or the next step of a process, scheduled at a
+// virtual instant. Events with equal times fire in scheduling order (seq
+// is the tiebreak), which keeps the simulation deterministic.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	p   *Proc // when non-nil, the event resumes p instead of calling fn
 }
 
 // eventQueue is a min-heap of events ordered by (at, seq), stored by

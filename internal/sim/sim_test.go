@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -378,5 +379,108 @@ func TestCondWaitersCount(t *testing.T) {
 	}
 	if c.Waiters() != 0 {
 		t.Errorf("Waiters() = %d after broadcast, want 0", c.Waiters())
+	}
+}
+
+// A panic inside a process surfaces from Run, on the caller's goroutine,
+// where it can be recovered.
+func TestProcPanicPropagatesFromRun(t *testing.T) {
+	w := NewWorld()
+	w.Spawn("ok", func(p *Proc) { p.Sleep(5) })
+	w.Spawn("boom", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v from Run, want the process's panic value", r)
+		}
+		if w.Now() != 1 {
+			t.Errorf("panic surfaced at %v, want 1ns", w.Now())
+		}
+	}()
+	_ = w.Run()
+	t.Error("Run returned normally after a process panicked")
+}
+
+// A world whose Run drains leaves no goroutine behind: the coroutines
+// kept for reuse are stopped once the event queue is empty. (The count
+// may drop below the starting one as an earlier test's goroutine
+// finishes exiting, so only a rise is a leak.)
+func TestRunReleasesIdleCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := NewWorld()
+	c := NewCond(w)
+	ready := false
+	for i := 0; i < 50; i++ {
+		w.Spawn("waiter", func(p *Proc) {
+			for !ready {
+				c.Wait(p)
+			}
+			p.Sleep(Time(i))
+		})
+	}
+	w.Spawn("waker", func(p *Proc) {
+		p.Sleep(10)
+		ready = true
+		c.Broadcast()
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after Run, %d before the world was built", after, before)
+	}
+	// The world stays usable: a later Spawn and Run start afresh.
+	ran := false
+	w.Spawn("late", func(p *Proc) { p.Sleep(1); ran = true })
+	if err := w.Run(); err != nil || !ran {
+		t.Fatalf("second Run: err %v, ran %v", err, ran)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the second Run, %d before", after, before)
+	}
+}
+
+// A coroutine freed by a finished process runs the next process to
+// start with that process's own identity and clock.
+func TestRecycledCoroutineRunsNextProc(t *testing.T) {
+	w := NewWorld()
+	type seen struct {
+		p    *Proc
+		name string
+		now  Time
+	}
+	var got []seen
+	var want []*Proc
+	var hosts []*coro
+	body := func(p *Proc) {
+		hosts = append(hosts, p.co)
+		got = append(got, seen{p, p.Name(), p.Now()})
+		p.Sleep(2)
+		got = append(got, seen{p, p.Name(), p.Now()})
+	}
+	want = append(want, w.Spawn("first", body))
+	w.At(10, func() { want = append(want, w.Spawn("second", body)) })
+	w.At(20, func() { want = append(want, w.Spawn("third", body)) })
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 3 || len(got) != 6 {
+		t.Fatalf("spawned %d, observed %d steps; want 3 and 6", len(want), len(got))
+	}
+	names := []string{"first", "second", "third"}
+	for i, s := range got {
+		k := i / 2
+		wantNow := Time(10*k + 2*(i%2))
+		if s.p != want[k] || s.name != names[k] || s.now != wantNow {
+			t.Errorf("step %d ran as %q at %v, want %q at %v", i, s.name, s.now, names[k], wantNow)
+		}
+	}
+	if hosts[1] != hosts[0] || hosts[2] != hosts[0] {
+		t.Error("each process got a coroutine of its own; the finished one was not reused")
+	}
+	if n := len(w.idle); n != 0 {
+		t.Errorf("%d idle coroutines after a draining Run, want 0", n)
 	}
 }

@@ -6,17 +6,19 @@ import (
 )
 
 // World owns the virtual clock, the event queue and every process spawned
-// into the simulation. A World is single-threaded by construction: the
-// scheduler goroutine (the one that calls Run) and at most one process
-// goroutine are ever runnable, and they hand control to each other through
-// unbuffered channels. No locking is needed anywhere above the kernel.
+// into the simulation. A World is single-threaded by construction: each
+// process runs on a coroutine (iter.Pull), and control passes between the
+// scheduler loop in Run and one process at a time by a direct coroutine
+// switch — the process runs until it blocks or returns, then the
+// scheduler picks up where it left off. No locking is needed anywhere
+// above the kernel.
 type World struct {
 	now   Time
 	queue eventQueue
 	seq   uint64
 
-	cur   *Proc         // process currently executing, nil in scheduler context
-	yield chan struct{} // a process signals here when it blocks or finishes
+	cur  *Proc   // process currently executing, nil in scheduler context
+	idle []*coro // coroutines whose process returned, ready for reuse
 
 	live    int     // spawned processes that have not finished
 	waiting []*Proc // processes blocked on a Cond (for deadlock reports)
@@ -26,9 +28,7 @@ type World struct {
 }
 
 // NewWorld returns an empty world with the clock at zero.
-func NewWorld() *World {
-	return &World{yield: make(chan struct{})}
-}
+func NewWorld() *World { return &World{} }
 
 // unwait removes p from the blocked-process registry (swap-remove: the
 // registry is a set kept as a slice so wait/wake cycles on the request
@@ -54,12 +54,19 @@ func (w *World) Now() Time { return w.now }
 // At schedules fn to run at virtual time t (clamped to now if in the past).
 // fn runs in scheduler context: it may schedule further events, signal
 // conditions and complete requests, but it must not block.
-func (w *World) At(t Time, fn func()) {
+func (w *World) At(t Time, fn func()) { w.schedule(t, event{fn: fn}) }
+
+// resumeAt schedules the next step of p at virtual time t (clamped to
+// now, like At).
+func (w *World) resumeAt(t Time, p *Proc) { w.schedule(t, event{p: p}) }
+
+func (w *World) schedule(t Time, ev event) {
 	if t < w.now {
 		t = w.now
 	}
 	w.seq++
-	w.queue.push(event{at: t, seq: w.seq, fn: fn})
+	ev.at, ev.seq = t, w.seq
+	w.queue.push(ev)
 }
 
 // After schedules fn to run d from now. Negative d means now.
@@ -83,6 +90,9 @@ func (e *DeadlockError) Error() string {
 // Run drives the simulation until the event queue drains, Stop is called,
 // or the horizon set by RunUntil passes. It returns a *DeadlockError if
 // processes remain blocked when no event can ever wake them, nil otherwise.
+// A panic inside a process propagates out of Run. Once the queue drains,
+// the idle coroutines are stopped, so a finished world leaves no
+// goroutine behind.
 func (w *World) Run() error {
 	w.stopped = false
 	for !w.stopped && w.queue.len() > 0 {
@@ -93,9 +103,21 @@ func (w *World) Run() error {
 		}
 		ev := w.queue.pop()
 		w.now = ev.at
-		ev.fn()
+		if ev.p != nil {
+			w.runProc(ev.p)
+		} else {
+			ev.fn()
+		}
 	}
-	if w.queue.len() == 0 && w.live > 0 {
+	if w.queue.len() > 0 {
+		return nil
+	}
+	for i, c := range w.idle {
+		c.stop()
+		w.idle[i] = nil
+	}
+	w.idle = w.idle[:0]
+	if w.live > 0 {
 		return w.deadlock()
 	}
 	return nil
@@ -121,18 +143,26 @@ func (w *World) deadlock() error {
 // Live reports how many spawned processes have not yet finished.
 func (w *World) Live() int { return w.live }
 
-// runProc transfers control to p until it blocks or finishes. Must be
-// called from scheduler context only (i.e. from inside an event).
+// runProc transfers control to p until it blocks or finishes. A process
+// taking its first step gets an idle coroutine, or a new one when none
+// is idle. Must be called from scheduler context only (i.e. from inside
+// an event).
 func (w *World) runProc(p *Proc) {
 	if w.cur != nil {
 		panic("sim: runProc while another process is running")
 	}
+	c := p.co
+	if c == nil {
+		if n := len(w.idle); n > 0 {
+			c = w.idle[n-1]
+			w.idle[n-1] = nil
+			w.idle = w.idle[:n-1]
+		} else {
+			c = w.newCoro()
+		}
+		c.p, p.co = p, c
+	}
 	w.cur = p
-	p.resume <- struct{}{}
-	<-w.yield
+	c.next()
 	w.cur = nil
 }
-
-// Cur returns the process currently executing, or nil when called from
-// scheduler context (an event callback).
-func (w *World) Cur() *Proc { return w.cur }

@@ -85,16 +85,22 @@ type Event struct {
 	Note string
 }
 
-// recorderBlock is the unbounded recorder's block capacity: full blocks
-// are never copied again, so recording amortizes to one allocation per
-// recorderBlock events instead of the doubling-growth copies of a single
-// slice (a long replay records millions of events; the copies were a
-// measurable slice of engine time).
-const recorderBlock = 4096
+// The unbounded recorder keeps its events in blocks: the first holds
+// recorderFirstBlock events, each next one twice its predecessor, up to
+// recorderBlock. Full blocks are never copied again, so a long recording
+// amortizes to one allocation per recorderBlock events instead of the
+// doubling-growth copies of a single slice (a long replay records
+// millions of events; the copies were a measurable slice of engine
+// time), while a short one — a node of a large cluster records a few
+// hundred events — does not pay for a whole recorderBlock.
+const (
+	recorderFirstBlock = 64
+	recorderBlock      = 4096
+)
 
 // Recorder accumulates events, optionally as a bounded ring.
 type Recorder struct {
-	blocks [][]Event // unbounded mode: fixed-capacity blocks
+	blocks [][]Event // unbounded mode: blocks of growing capacity
 	events []Event   // ring mode (limit > 0)
 	limit  int       // 0 = unbounded
 	start  int       // ring head when limit > 0
@@ -133,8 +139,12 @@ func (r *Recorder) Record(ev Event) {
 		return
 	}
 	n := len(r.blocks)
-	if n == 0 || len(r.blocks[n-1]) == recorderBlock {
-		r.blocks = append(r.blocks, make([]Event, 0, recorderBlock))
+	if n == 0 || len(r.blocks[n-1]) == cap(r.blocks[n-1]) {
+		size := recorderFirstBlock
+		if n > 0 {
+			size = min(2*cap(r.blocks[n-1]), recorderBlock)
+		}
+		r.blocks = append(r.blocks, make([]Event, 0, size))
 		n++
 	}
 	r.blocks[n-1] = append(r.blocks[n-1], ev)
